@@ -3,7 +3,8 @@
 # Exits nonzero on the first failing step.
 #
 # Usage: scripts/check.sh [build-dir]
-#   Default mode runs two legs:
+#   Default mode runs two legs (leg 1 also runs the bench smokes and
+#   `perfbench/run.py --smoke`, the repository benchmark's own test):
 #     1. RelWithDebInfo with -DTAURUS_WERROR=ON (warnings are errors), the
 #        configuration the plan verifiers gate behind the verify_plans knob.
 #     2. Debug in build-debug, where the plan verifiers are always on
@@ -166,6 +167,17 @@ echo "check.sh: batch executor bench (BENCH_exec_batch.json)"
 # name, so trend dashboards consume a single document per run.
 if command -v python3 >/dev/null 2>&1; then
   (cd "$repo_root" && python3 scripts/merge_bench_json.py)
+fi
+
+# Repository benchmark smoke: builds perfbench (in .bench_build) and runs
+# every workload briefly, traced and untraced. Each execution's rows are
+# checked against the committed forced-MySQL-path references, so an
+# optimizer change that returns wrong rows fails this leg.
+echo "check.sh: benchmark smoke (perfbench/run.py --smoke)"
+if command -v python3 >/dev/null 2>&1; then
+  (cd "$repo_root" && python3 perfbench/run.py --smoke)
+else
+  echo "check.sh: python3 not found; skipping the benchmark smoke." >&2
 fi
 
 echo "check.sh: leg 2/2 — Debug, plan verifiers + lock-rank registry armed"

@@ -4,7 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <tuple>
 
 #include "common/fault_injector.h"
 #include "parser/ast_util.h"
@@ -15,6 +15,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Units 0..v.
+uint64_t UpTo(int v) { return v >= 63 ? ~0ULL : (2ULL << v) - 1; }
+bool IsSubset(uint64_t a, uint64_t b) { return (a & ~b) == 0; }
+bool IsSingleton(uint64_t set) { return (set & (set - 1)) == 0; }
+
 /// Collects base/derived leaves under a logical subtree.
 void CollectGetLeaves(const OrcaLogicalOp* op, std::vector<TableRef*>* out) {
   if (op->kind == OrcaLogicalOp::Kind::kGet) {
@@ -23,6 +28,16 @@ void CollectGetLeaves(const OrcaLogicalOp* op, std::vector<TableRef*>* out) {
   }
   for (const auto& c : op->children) CollectGetLeaves(c.get(), out);
 }
+
+/// An index nested-loop option on a base-leaf unit: lookups into `index`
+/// are bound once the outer side covers one of `binders` (the other units
+/// of an equality on the index's first key column; 0 for the unit's own ON
+/// condition, which applies whenever the unit joins as a dependent).
+struct IndexBinding {
+  int index = -1;
+  double match = 1.0;  ///< rows matched per lookup
+  std::vector<uint64_t> binders;
+};
 
 /// One reorderable element of the flattened join tree.
 struct Unit {
@@ -41,6 +56,13 @@ struct Unit {
   OrcaPhysicalOp::Kind access = OrcaPhysicalOp::Kind::kTableScan;
   int access_index = -1;
   std::unique_ptr<OrcaPhysicalOp> composite_plan;  ///< for composite units
+
+  // Join-graph facts, precomputed once per search.
+  /// ON conjuncts applied when this dependent unit joins (those over the
+  /// unit alone were folded into its access).
+  std::vector<Expr*> on_conds;
+  bool on_has_equality = false;
+  std::vector<IndexBinding> lookups;
 };
 
 struct PoolConjunct {
@@ -48,14 +70,25 @@ struct PoolConjunct {
   uint64_t units = 0;
 };
 
-/// Best physical alternative memoized per unit subset (a memo group).
-struct GroupState {
-  int id = -1;
-  double rows = -1.0;
+/// A join conjunct over three or more units: it joins any two disjoint
+/// sets that together cover it and each touch it.
+struct WideConjunct {
+  uint64_t units = 0;
+  bool equality = false;
+};
+
+/// A DPhyp hyperedge: joins a set covering `left` with a set covering
+/// `right` (either way round). Dependent units hang off their dependency
+/// this way, and so do the components of a disconnected graph.
+struct HyperEdge {
+  uint64_t left = 0;
+  uint64_t right = 0;
+};
+
+/// The cheapest way found so far to produce a unit set.
+struct PlanChoice {
   double cost = kInf;
-  bool done = false;
-  bool is_leaf = false;
-  int leaf_unit = -1;
+  int leaf_unit = -1;  ///< >= 0: the set is this unit's access path
   // Join spec.
   uint64_t left = 0;
   uint64_t right = 0;
@@ -68,6 +101,68 @@ struct GroupState {
   double inner_lookup_cost = 0.0;
 };
 
+/// One memo entry per unit set: its cardinality and, once a plan is found,
+/// its memo group id and best plan.
+struct GroupState {
+  uint64_t set = 0;    ///< key; 0 marks an empty slot
+  int id = -1;         ///< memo group id; -1 while no plan is known
+  double rows = -1.0;  ///< -1 until computed
+  CardSource card_source = CardSource::kHistogram;
+  PlanChoice best;
+};
+
+/// Dense open-addressed memo keyed by unit mask: linear probing over a
+/// power-of-two table kept at most half full. Insert may move entries, so
+/// pointers and references into the table are valid only until the next
+/// Insert.
+class FlatMemo {
+ public:
+  GroupState* Find(uint64_t set) {
+    if (slots_.empty()) return nullptr;
+    for (size_t i = Slot(set);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i].set == set) return &slots_[i];
+      if (slots_[i].set == 0) return nullptr;
+    }
+  }
+
+  GroupState& Insert(uint64_t set) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    size_t i = Slot(set);
+    while (slots_[i].set != 0 && slots_[i].set != set) {
+      i = (i + 1) & (slots_.size() - 1);
+    }
+    if (slots_[i].set == 0) {
+      slots_[i].set = set;
+      ++size_;
+    }
+    return slots_[i];
+  }
+
+ private:
+  size_t Slot(uint64_t set) const {
+    return static_cast<size_t>((set * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void Grow() {
+    std::vector<GroupState> old = std::move(slots_);
+    size_t capacity = old.empty() ? 64 : 2 * old.size();
+    slots_.assign(capacity, GroupState());
+    shift_ = 64 - std::countr_zero(capacity);
+    size_ = 0;
+    for (GroupState& e : old) {
+      if (e.set != 0) Insert(e.set) = std::move(e);
+    }
+  }
+
+  std::vector<GroupState> slots_;
+  size_t size_ = 0;
+  int shift_ = 64;
+};
+
+/// Join enumeration for one block: flattens the logical join tree into
+/// units, builds the join graph, and runs DPhyp (Moerkotte & Neumann,
+/// SIGMOD 2008) over it — every connected csg-cmp pair, bottom-up into a
+/// flat memo (DESIGN.md section 16).
 class JoinSearch {
  public:
   JoinSearch(const OrcaConfig& config, StatsProvider* stats, int num_refs,
@@ -84,7 +179,8 @@ class JoinSearch {
         governor_(governor),
         feedback_(feedback),
         actual_overrides_(actual_overrides),
-        sketch_overrides_(sketch_overrides) {}
+        sketch_overrides_(sketch_overrides),
+        unit_of_ref_(static_cast<size_t>(std::max(num_refs, 0)), -1) {}
 
   Status Flatten(OrcaLogicalOp* root);
   Result<std::unique_ptr<OrcaPhysicalOp>> Run();
@@ -96,9 +192,20 @@ class JoinSearch {
                  std::vector<Expr*> join_conds,
                  std::vector<Expr*> local_conds, uint64_t* added);
   Status SetupUnit(Unit* unit);
+  void BuildGraph();
 
   uint64_t UnitMask(const Expr& e) const;
-  bool Admissible(uint64_t set) const;
+  /// True when every dependent unit in `set` has its dependency in `set`.
+  bool Resolved(uint64_t set) const;
+  /// True when a join conjunct (a column equality, with `equality`) spans
+  /// disjoint sets `a` and `b`.
+  bool Joined(uint64_t a, uint64_t b, bool equality = false) const;
+  /// True when any graph edge (conjunct or hyperedge) joins `a` and `b`.
+  bool Connected(uint64_t a, uint64_t b) const;
+  /// DPhyp neighbourhood of `set` outside `excluded`: every unit adjacent
+  /// through a simple edge plus the lowest unit of each minimal hypernode.
+  uint64_t Neighbors(uint64_t set, uint64_t excluded) const;
+
   std::vector<Expr*> CrossConds(uint64_t a, uint64_t b) const;
   double CrossSelectivity(const std::vector<Expr*>& conds) const;
   double Rows(uint64_t set);
@@ -109,11 +216,25 @@ class JoinSearch {
   /// when the set has no single-column equi-join with sketches on both
   /// sides (DESIGN.md section 11).
   double SketchJoinRows(uint64_t set) const;
-  CardSource SourceOf(uint64_t set) const;
-  GroupState& GroupOf(uint64_t set);
-  Status OptimizeSet(uint64_t set);
-  Status TryPartition(uint64_t set, uint64_t a, uint64_t b, GroupState* g,
-                      bool allow_cross);
+  bool HasPlan(uint64_t set) {
+    const GroupState* g = memo_.Find(set);
+    return g != nullptr && g->id >= 0;
+  }
+  /// True when `x` is cheaper than `y`, or ties and comes first.
+  bool Better(const PlanChoice& x, const PlanChoice& y) const;
+  /// Records `plan` for `set` if it beats the set's best so far; creates
+  /// (and charges) the memo group on the set's first plan.
+  Status Commit(uint64_t set, const PlanChoice& plan);
+
+  Status Enumerate();
+  Status EnumerateCsgRec(uint64_t s1, uint64_t excluded);
+  Status EmitCsg(uint64_t s1);
+  Status EnumerateCmpRec(uint64_t s1, uint64_t s2, uint64_t excluded);
+  Status EmitCsgCmp(uint64_t s1, uint64_t s2);
+  /// Costs joining `a` (outer/probe) with `b` (inner/build) into `set`,
+  /// keeping the cheapest alternative in `*best`. Orientations that break a
+  /// dependency are skipped before they count as a partition pair.
+  Status TryPartition(uint64_t set, uint64_t a, uint64_t b, PlanChoice* best);
   Status GreedyPlan(uint64_t set);
   std::unique_ptr<OrcaPhysicalOp> Extract(uint64_t set);
   std::unique_ptr<OrcaPhysicalOp> BuildLeafPlan(int unit_idx,
@@ -132,11 +253,19 @@ class JoinSearch {
 
   std::vector<Unit> units_;
   std::vector<PoolConjunct> pool_;
-  std::unordered_map<int, int> unit_of_ref_;
-  std::unordered_map<uint64_t, GroupState> memo_;
-  std::unordered_map<uint64_t, double> rows_memo_;
-  std::unordered_map<uint64_t, CardSource> rows_source_;
+  std::vector<int> unit_of_ref_;  ///< ref_id -> unit, -1 outside the block
+
+  // Join graph.
+  std::vector<uint64_t> adj_;     ///< per unit: units sharing a 2-unit conjunct
+  std::vector<uint64_t> eq_adj_;  ///< ... sharing a 2-unit column equality
+  std::vector<WideConjunct> wide_;
+  std::vector<HyperEdge> hyper_;
+  uint64_t dependents_ = 0;  ///< units joined by a non-inner join
+
+  FlatMemo memo_;
+  bool bushy_ = false;
   int64_t budget_ = 0;
+  int64_t budget_cap_ = 0;
   bool budget_exhausted_ = false;
 };
 
@@ -157,7 +286,11 @@ Status JoinSearch::AddUnit(OrcaLogicalOp* op, JoinType type,
   u.local_conds = std::move(local_conds);
   std::vector<TableRef*> leaves;
   CollectGetLeaves(op, &leaves);
-  for (TableRef* leaf : leaves) unit_of_ref_[leaf->ref_id] = idx;
+  for (TableRef* leaf : leaves) {
+    if (leaf->ref_id >= 0 && leaf->ref_id < num_refs_) {
+      unit_of_ref_[static_cast<size_t>(leaf->ref_id)] = idx;
+    }
+  }
   units_.push_back(std::move(u));
   *added |= 1ULL << idx;
   return Status::OK();
@@ -217,9 +350,8 @@ uint64_t JoinSearch::UnitMask(const Expr& e) const {
   CollectReferencedRefs(e, &refs);
   uint64_t mask = 0;
   for (int r = 0; r < num_refs_; ++r) {
-    if (!refs[static_cast<size_t>(r)]) continue;
-    auto it = unit_of_ref_.find(r);
-    if (it != unit_of_ref_.end()) mask |= 1ULL << it->second;
+    int u = unit_of_ref_[static_cast<size_t>(r)];
+    if (refs[static_cast<size_t>(r)] && u >= 0) mask |= 1ULL << u;
   }
   return mask;
 }
@@ -303,7 +435,7 @@ Status JoinSearch::SetupUnit(Unit* unit) {
           bool touches_sibling_unit = false;
           for (int r = 0; r < num_refs_; ++r) {
             if (other_refs[static_cast<size_t>(r)] &&
-                unit_of_ref_.count(r) != 0) {
+                unit_of_ref_[static_cast<size_t>(r)] >= 0) {
               touches_sibling_unit = true;
             }
           }
@@ -336,25 +468,19 @@ Status JoinSearch::SetupUnit(Unit* unit) {
   JoinSearch sub(config_, stats_, num_refs_, partitions_, groups_, governor_,
                  feedback_, actual_overrides_, sketch_overrides_);
   TAURUS_RETURN_IF_ERROR(sub.Flatten(unit->op));
-  // Restrict join_conds to subtree-only pieces and push them in.
+  // Restrict join_conds to subtree-only pieces and push them in: refs to
+  // outer blocks (no unit) are fine, refs to sibling units are not.
+  const int self = static_cast<int>(unit - units_.data());
   for (Expr* jc : unit->join_conds) {
-    uint64_t m = sub.UnitMask(*jc);
-    bool subtree_only = true;
     std::vector<bool> refs(static_cast<size_t>(num_refs_), false);
     CollectReferencedRefs(*jc, &refs);
-    std::vector<TableRef*> leaves;
-    CollectGetLeaves(unit->op, &leaves);
+    bool subtree_only = true;
     for (int r = 0; r < num_refs_; ++r) {
-      if (!refs[static_cast<size_t>(r)]) continue;
-      bool inside = false;
-      for (TableRef* l : leaves) {
-        if (l->ref_id == r) inside = true;
+      int owner = unit_of_ref_[static_cast<size_t>(r)];
+      if (refs[static_cast<size_t>(r)] && owner >= 0 && owner != self) {
+        subtree_only = false;
       }
-      // Outer-block refs (not any unit) are fine; refs to sibling units
-      // of the parent search are not.
-      if (!inside && unit_of_ref_.count(r) != 0) subtree_only = false;
     }
-    (void)m;
     if (subtree_only) sub.pool_.push_back(PoolConjunct{jc, 0});
   }
   for (PoolConjunct& c : sub.pool_) c.units = sub.UnitMask(*c.expr);
@@ -402,14 +528,191 @@ Status JoinSearch::Flatten(OrcaLogicalOp* root) {
   return Status::OK();
 }
 
-bool JoinSearch::Admissible(uint64_t set) const {
-  if (std::popcount(set) == 1) return true;
-  for (size_t u = 0; u < units_.size(); ++u) {
-    if ((set & (1ULL << u)) == 0) continue;
-    if (units_[u].join_type == JoinType::kInner) continue;
-    if ((units_[u].dependency & ~set) != 0) return false;
+
+void JoinSearch::BuildGraph() {
+  const size_t n = units_.size();
+  adj_.assign(n, 0);
+  eq_adj_.assign(n, 0);
+  for (const PoolConjunct& c : pool_) {
+    if (std::popcount(c.units) < 2) continue;
+    bool equality = StatsProvider::IsColumnEquality(*c.expr);
+    if (std::popcount(c.units) > 2) {
+      wide_.push_back(WideConjunct{c.units, equality});
+      continue;
+    }
+    int x = std::countr_zero(c.units);
+    int y = std::countr_zero(c.units & (c.units - 1));
+    adj_[static_cast<size_t>(x)] |= 1ULL << y;
+    adj_[static_cast<size_t>(y)] |= 1ULL << x;
+    if (equality) {
+      eq_adj_[static_cast<size_t>(x)] |= 1ULL << y;
+      eq_adj_[static_cast<size_t>(y)] |= 1ULL << x;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    Unit& u = units_[i];
+    const uint64_t bit = 1ULL << i;
+    if (u.join_type != JoinType::kInner) {
+      dependents_ |= bit;
+      hyper_.push_back(HyperEdge{u.dependency, bit});
+      for (Expr* jc : u.join_conds) {
+        if (UnitMask(*jc) == bit) continue;  // folded into the unit already
+        u.on_conds.push_back(jc);
+        if (StatsProvider::IsColumnEquality(*jc)) u.on_has_equality = true;
+      }
+    }
+    if (u.leaf == nullptr || u.leaf->kind != TableRef::Kind::kBase ||
+        u.leaf->table == nullptr) {
+      continue;
+    }
+    // Index-NLJ bindings: equalities on an index's first key column.
+    auto binds = [&](const Expr& c, int column) {
+      if (c.kind != Expr::Kind::kBinary || c.bop != BinaryOp::kEq) {
+        return false;
+      }
+      for (const auto& side : c.children) {
+        if (side->kind == Expr::Kind::kColumnRef &&
+            side->ref_id == u.leaf->ref_id && side->column_idx == column) {
+          return true;
+        }
+      }
+      return false;
+    };
+    for (size_t idx = 0; idx < u.leaf->table->indexes.size(); ++idx) {
+      const IndexDef& def = u.leaf->table->indexes[idx];
+      if (def.column_idx.empty()) continue;
+      IndexBinding b;
+      b.index = static_cast<int>(idx);
+      for (const PoolConjunct& c : pool_) {
+        if ((c.units & bit) != 0 && std::popcount(c.units) >= 2 &&
+            binds(*c.expr, def.column_idx[0])) {
+          b.binders.push_back(c.units & ~bit);
+        }
+      }
+      for (const Expr* jc : u.on_conds) {
+        if (binds(*jc, def.column_idx[0])) b.binders.push_back(0);
+      }
+      if (b.binders.empty()) continue;
+      double ndv = stats_->NdvOf(u.leaf->ref_id, def.column_idx[0],
+                                 std::max(u.base_rows, 1.0));
+      b.match = std::max(u.base_rows / std::max(ndv, 1.0), 1.0);
+      u.lookups.push_back(std::move(b));
+    }
+  }
+
+  // Components: units linked by a conjunct or a dependency edge whose sides
+  // each lie within one component. Only a graph left with several
+  // components gets cross products, as hyperedges between whole components.
+  std::vector<uint64_t> comps;
+  for (size_t i = 0; i < n; ++i) comps.push_back(1ULL << i);
+  constexpr size_t kNone = ~size_t{0};
+  // The component holding all of `units`, or kNone if they span several.
+  auto home = [&comps](uint64_t units) {
+    for (size_t i = 0; i < comps.size(); ++i) {
+      if ((comps[i] & units) != 0) return IsSubset(units, comps[i]) ? i : kNone;
+    }
+    return kNone;
+  };
+  auto merge = [&](uint64_t a, uint64_t b) {
+    size_t ia = home(a);
+    size_t ib = home(b);
+    if (ia == kNone || ib == kNone || ia == ib) return false;
+    comps[ia] |= comps[ib];
+    comps.erase(comps.begin() + static_cast<std::ptrdiff_t>(ib));
+    return true;
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const PoolConjunct& c : pool_) {
+      if (std::popcount(c.units) < 2) continue;
+      // The part in the first component it touches vs. the rest.
+      uint64_t first = 0;
+      for (uint64_t comp : comps) {
+        if ((comp & c.units) != 0) {
+          first = comp & c.units;
+          break;
+        }
+      }
+      if (first != c.units && merge(first, c.units & ~first)) changed = true;
+    }
+    for (uint64_t d = dependents_; d != 0; d &= d - 1) {
+      const int i = std::countr_zero(d);
+      if (merge(units_[static_cast<size_t>(i)].dependency, 1ULL << i)) {
+        changed = true;
+      }
+    }
+  }
+  for (size_t i = 0; i < comps.size(); ++i) {
+    for (size_t j = i + 1; j < comps.size(); ++j) {
+      hyper_.push_back(HyperEdge{comps[i], comps[j]});
+    }
+  }
+}
+
+bool JoinSearch::Resolved(uint64_t set) const {
+  for (uint64_t d = set & dependents_; d != 0; d &= d - 1) {
+    const Unit& u = units_[static_cast<size_t>(std::countr_zero(d))];
+    if (!IsSubset(u.dependency, set)) return false;
   }
   return true;
+}
+
+bool JoinSearch::Joined(uint64_t a, uint64_t b, bool equality) const {
+  const std::vector<uint64_t>& adj = equality ? eq_adj_ : adj_;
+  for (uint64_t s = a; s != 0; s &= s - 1) {
+    if ((adj[static_cast<size_t>(std::countr_zero(s))] & b) != 0) return true;
+  }
+  for (const WideConjunct& w : wide_) {
+    if ((w.equality || !equality) && IsSubset(w.units, a | b) &&
+        (w.units & a) != 0 && (w.units & b) != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool JoinSearch::Connected(uint64_t a, uint64_t b) const {
+  if (Joined(a, b)) return true;
+  for (const HyperEdge& h : hyper_) {
+    if ((IsSubset(h.left, a) && IsSubset(h.right, b)) ||
+        (IsSubset(h.left, b) && IsSubset(h.right, a))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+uint64_t JoinSearch::Neighbors(uint64_t set, uint64_t excluded) const {
+  excluded |= set;
+  uint64_t simple = 0;
+  for (uint64_t s = set; s != 0; s &= s - 1) {
+    simple |= adj_[static_cast<size_t>(std::countr_zero(s))];
+  }
+  simple &= ~excluded;
+  if (wide_.empty() && hyper_.empty()) return simple;
+  // Hypernodes reachable from `set`. Only minimal ones count: a hypernode
+  // containing a simple neighbour or another hypernode adds nothing.
+  auto for_each_node = [&](auto&& fn) {
+    auto visit = [&](uint64_t node) {
+      if (node != 0 && (node & (excluded | simple)) == 0) fn(node);
+    };
+    for (const WideConjunct& w : wide_) {
+      if ((w.units & set) != 0) visit(w.units & ~set);
+    }
+    for (const HyperEdge& h : hyper_) {
+      if (IsSubset(h.left, set)) visit(h.right);
+      if (IsSubset(h.right, set)) visit(h.left);
+    }
+  };
+  uint64_t out = simple;
+  for_each_node([&](uint64_t node) {
+    bool minimal = true;
+    for_each_node([&](uint64_t other) {
+      if (other != node && IsSubset(other, node)) minimal = false;
+    });
+    if (minimal) out |= node & (~node + 1);  // its lowest unit
+  });
+  return out;
 }
 
 std::vector<Expr*> JoinSearch::CrossConds(uint64_t a, uint64_t b) const {
@@ -422,15 +725,9 @@ std::vector<Expr*> JoinSearch::CrossConds(uint64_t a, uint64_t b) const {
     out.push_back(c.expr);
   }
   // Dependent unit joined as the whole right side contributes its ON.
-  if (std::popcount(b) == 1) {
+  if (IsSingleton(b)) {
     const Unit& u = units_[static_cast<size_t>(std::countr_zero(b))];
-    if (u.join_type != JoinType::kInner) {
-      for (Expr* jc : u.join_conds) {
-        uint64_t m = UnitMask(*jc);
-        if (m == b) continue;  // folded into the unit already
-        out.push_back(jc);
-      }
-    }
+    out.insert(out.end(), u.on_conds.begin(), u.on_conds.end());
   }
   return out;
 }
@@ -509,38 +806,36 @@ double JoinSearch::SketchJoinRows(uint64_t set) const {
          std::clamp(other_sel, 0.0, 1.0);
 }
 
-CardSource JoinSearch::SourceOf(uint64_t set) const {
-  auto it = rows_source_.find(set);
-  return it != rows_source_.end() ? it->second : CardSource::kHistogram;
-}
-
 double JoinSearch::Rows(uint64_t set) {
-  auto it = rows_memo_.find(set);
-  if (it != rows_memo_.end()) return it->second;
+  if (const GroupState* e = memo_.Find(set); e != nullptr && e->rows >= 0.0) {
+    return e->rows;
+  }
   double rows;
   CardSource source = CardSource::kHistogram;
-  if (std::popcount(set) == 1) {
+  const double* actual = nullptr;
+  if (feedback_ != nullptr && !IsSingleton(set)) {
+    auto it = feedback_->node_actuals.find(SetKey(set));
+    if (it != feedback_->node_actuals.end()) actual = &it->second;
+  }
+  if (IsSingleton(set)) {
     const Unit& u = units_[static_cast<size_t>(std::countr_zero(set))];
     rows = u.rows;
     source = u.card_source;
-  } else if (feedback_ != nullptr &&
-             feedback_->node_actuals.count(SetKey(set)) != 0) {
+  } else if (actual != nullptr) {
     // A prior execution measured this exact sub-join: its actual output
     // cardinality beats any estimate.
-    rows = std::max(feedback_->node_actuals.at(SetKey(set)), 1.0);
+    rows = std::max(*actual, 1.0);
     source = CardSource::kActual;
     if (actual_overrides_ != nullptr) ++*actual_overrides_;
   } else {
     // Canonical decomposition: peel the highest dependent unit whose
     // dependency is satisfied; otherwise all-inner product formula.
     int dependent = -1;
-    for (int u = static_cast<int>(units_.size()) - 1; u >= 0; --u) {
+    for (uint64_t d = set & dependents_; d != 0;) {
+      int u = 63 - std::countl_zero(d);
       uint64_t bit = 1ULL << u;
-      if ((set & bit) == 0) continue;
-      if (units_[static_cast<size_t>(u)].join_type == JoinType::kInner) {
-        continue;
-      }
-      if ((units_[static_cast<size_t>(u)].dependency & ~(set & ~bit)) == 0) {
+      d &= ~bit;
+      if (IsSubset(units_[static_cast<size_t>(u)].dependency, set & ~bit)) {
         dependent = u;
         break;
       }
@@ -592,307 +887,246 @@ double JoinSearch::Rows(uint64_t set) {
     }
   }
   rows = std::max(rows, 1.0);
-  rows_memo_[set] = rows;
-  rows_source_[set] = source;
+  GroupState& e = memo_.Insert(set);
+  e.rows = rows;
+  e.card_source = source;
   return rows;
 }
 
-GroupState& JoinSearch::GroupOf(uint64_t set) {
-  auto [it, inserted] = memo_.try_emplace(set);
-  if (inserted) {
-    it->second.id = (*groups_)++;
+bool JoinSearch::Better(const PlanChoice& x, const PlanChoice& y) const {
+  if (x.cost != y.cost) return x.cost < y.cost;
+  // Exact ties break by a fixed order, so the chosen plan does not depend
+  // on the order pairs are enumerated in. Bushy: the split whose side
+  // holding the set's lowest unit is largest, that side on the left first.
+  // Linear: the lowest single unit, on the right first. Then hash join,
+  // index NLJ by index, plain NLJ.
+  auto rank = [this](const PlanChoice& p) {
+    uint64_t split = ~0ULL;
+    int side = 0;
+    if (bushy_) {
+      const uint64_t set = p.left | p.right;
+      side = (p.left & set & (~set + 1)) != 0 ? 0 : 1;
+      split = ~(side == 0 ? p.left : p.right);
+    } else {
+      if (IsSingleton(p.right)) split = p.right;
+      if (IsSingleton(p.left) && p.left < split) {
+        split = p.left;
+        side = 1;
+      }
+    }
+    int impl = p.impl == OrcaPhysicalOp::Kind::kHashJoin ? 0
+               : p.inner_index >= 0                      ? 1 + p.inner_index
+                                                         : 1 << 20;
+    return std::tuple(split, side, impl);
+  };
+  return rank(x) < rank(y);
+}
+
+Status JoinSearch::Commit(uint64_t set, const PlanChoice& plan) {
+  Rows(set);  // makes sure the entry exists with its cardinality
+  GroupState* g = memo_.Find(set);
+  if (g->id < 0) {
+    TAURUS_FAULT_POINT("orca.memo_explore");
+    g->id = (*groups_)++;
+    if (governor_ != nullptr) {
+      TAURUS_RETURN_IF_ERROR(governor_->ChargeMemoGroups(*groups_));
+    }
   }
-  return it->second;
+  if (Better(plan, g->best)) g->best = plan;
+  return Status::OK();
 }
 
 Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
-                                GroupState* g, bool allow_cross) {
-  if (!Admissible(a) || !Admissible(b)) return Status::OK();
+                                PlanChoice* best) {
+  if (!Resolved(a)) return Status::OK();
   JoinType jt = JoinType::kInner;
-  if (std::popcount(b) == 1) {
-    const Unit& u = units_[static_cast<size_t>(std::countr_zero(b))];
-    if (u.join_type != JoinType::kInner) {
-      if ((u.dependency & ~a) != 0) return Status::OK();
-      jt = u.join_type;
-    }
-  } else {
+  const Unit* right_unit =
+      IsSingleton(b) ? &units_[static_cast<size_t>(std::countr_zero(b))]
+                     : nullptr;
+  if (right_unit != nullptr && right_unit->join_type != JoinType::kInner) {
+    if (!IsSubset(right_unit->dependency, a)) return Status::OK();
+    jt = right_unit->join_type;
+  } else if (!Resolved(b)) {
     // A non-singleton right side must resolve its dependents internally.
-    for (size_t u = 0; u < units_.size(); ++u) {
-      if ((b & (1ULL << u)) == 0) continue;
-      if (units_[u].join_type != JoinType::kInner &&
-          (units_[u].dependency & ~b) != 0) {
-        return Status::OK();
-      }
-    }
-  }
-  // Dependent units in A must be resolved inside A.
-  for (size_t u = 0; u < units_.size(); ++u) {
-    if ((a & (1ULL << u)) == 0) continue;
-    if (units_[u].join_type != JoinType::kInner &&
-        (units_[u].dependency & ~a) != 0) {
-      return Status::OK();
-    }
+    return Status::OK();
   }
 
   ++(*partitions_);
-  ++budget_;
+  if (++budget_ > budget_cap_) budget_exhausted_ = true;
   if (governor_ != nullptr) {
     TAURUS_RETURN_IF_ERROR(governor_->ChargePartitionPair());
   }
 
-  TAURUS_RETURN_IF_ERROR(OptimizeSet(a));
-  TAURUS_RETURN_IF_ERROR(OptimizeSet(b));
-  GroupState& ga = GroupOf(a);
-  GroupState& gb = GroupOf(b);
-  if (ga.cost == kInf || gb.cost == kInf) return Status::OK();
-
-  std::vector<Expr*> conds = CrossConds(a, b);
-  bool has_equality = false;
-  for (const Expr* c : conds) {
-    if (StatsProvider::IsColumnEquality(*c)) has_equality = true;
-  }
-  // Require connectivity for inner joins unless the caller has determined
-  // that only cross products remain.
-  if (!allow_cross && jt == JoinType::kInner && conds.empty()) {
+  const GroupState* ga = memo_.Find(a);
+  const GroupState* gb = memo_.Find(b);
+  if (ga == nullptr || gb == nullptr || ga->id < 0 || gb->id < 0) {
     return Status::OK();
   }
-
-  double out_rows = Rows(set);
-  double rows_a = Rows(a);
-  double rows_b = Rows(b);
+  const double cost_a = ga->best.cost;
+  const double cost_b = gb->best.cost;
+  const double rows_a = ga->rows;
+  const double rows_b = gb->rows;
+  const double out_rows = Rows(set);  // may grow the memo: ga/gb now stale
   const CostParams& cp = config_.cost;
 
+  PlanChoice join;
+  join.left = a;
+  join.right = b;
+  join.join_type = jt;
+  auto consider = [&](double cost, OrcaPhysicalOp::Kind impl, int index,
+                      double lookup_cost) {
+    join.cost = cost;
+    join.impl = impl;
+    join.inner_index = index;
+    join.inner_lookup_cost = lookup_cost;
+    if (Better(join, *best)) *best = join;
+  };
+
   // Hash join: build on the right (Orca's convention).
-  if (has_equality) {
-    double cost = ga.cost + gb.cost + rows_b * cp.hash_build +
-                  rows_a * cp.hash_probe + out_rows * cp.row_out;
-    if (cost < g->cost) {
-      g->cost = cost;
-      g->is_leaf = false;
-      g->left = a;
-      g->right = b;
-      g->impl = OrcaPhysicalOp::Kind::kHashJoin;
-      g->join_type = jt;
-      g->inner_index = -1;
-    }
+  if (Joined(a, b, /*equality=*/true) ||
+      (right_unit != nullptr && right_unit->on_has_equality)) {
+    consider(cost_a + cost_b + rows_b * cp.hash_build +
+                 rows_a * cp.hash_probe + out_rows * cp.row_out,
+             OrcaPhysicalOp::Kind::kHashJoin, -1, 0.0);
   }
 
   // Index nested-loop join: right side is a single base leaf with an index
   // whose first key column is bound by one of the equalities.
-  if (config_.enable_index_nlj && std::popcount(b) == 1) {
-    const Unit& u = units_[static_cast<size_t>(std::countr_zero(b))];
-    if (u.leaf != nullptr && u.leaf->kind == TableRef::Kind::kBase &&
-        u.leaf->table != nullptr) {
-      for (size_t i = 0; i < u.leaf->table->indexes.size(); ++i) {
-        const IndexDef& idx = u.leaf->table->indexes[i];
-        if (idx.column_idx.empty()) continue;
-        bool bound = false;
-        for (const Expr* c : conds) {
-          if (c->kind != Expr::Kind::kBinary || c->bop != BinaryOp::kEq) {
-            continue;
-          }
-          for (int side = 0; side < 2; ++side) {
-            const Expr& col = *c->children[static_cast<size_t>(side)];
-            if (col.kind == Expr::Kind::kColumnRef &&
-                col.ref_id == u.leaf->ref_id &&
-                col.column_idx == idx.column_idx[0]) {
-              bound = true;
-            }
-          }
-        }
-        if (!bound) continue;
-        double ndv = stats_->NdvOf(u.leaf->ref_id, idx.column_idx[0],
-                                   std::max(u.base_rows, 1.0));
-        double match = std::max(u.base_rows / std::max(ndv, 1.0), 1.0);
-        double cost = ga.cost +
-                      rows_a * (cp.index_descend + match * cp.index_row) +
-                      out_rows * cp.row_out;
-        if (cost < g->cost) {
-          g->cost = cost;
-          g->is_leaf = false;
-          g->left = a;
-          g->right = b;
-          g->impl = OrcaPhysicalOp::Kind::kNLJoin;
-          g->join_type = jt;
-          g->inner_index = static_cast<int>(i);
-          g->inner_lookup_cost =
-              rows_a * (cp.index_descend + match * cp.index_row);
-        }
+  if (config_.enable_index_nlj && right_unit != nullptr) {
+    for (const IndexBinding& lookup : right_unit->lookups) {
+      if (std::none_of(lookup.binders.begin(), lookup.binders.end(),
+                       [a](uint64_t m) { return IsSubset(m, a); })) {
+        continue;
       }
+      double lookup_cost =
+          rows_a * (cp.index_descend + lookup.match * cp.index_row);
+      consider(cost_a + lookup_cost + out_rows * cp.row_out,
+               OrcaPhysicalOp::Kind::kNLJoin, lookup.index, lookup_cost);
     }
   }
 
   // Plain nested-loop join (inner side re-executed per outer row).
-  {
-    double inner_cost = std::max(gb.cost, 1.0);
-    double cost =
-        ga.cost + rows_a * inner_cost + out_rows * cp.row_out;
-    if (cost < g->cost) {
-      g->cost = cost;
-      g->is_leaf = false;
-      g->left = a;
-      g->right = b;
-      g->impl = OrcaPhysicalOp::Kind::kNLJoin;
-      g->join_type = jt;
-      g->inner_index = -1;
+  double inner_cost = std::max(cost_b, 1.0);
+  consider(cost_a + rows_a * inner_cost + out_rows * cp.row_out,
+           OrcaPhysicalOp::Kind::kNLJoin, -1, 0.0);
+  return Status::OK();
+}
+
+// DPhyp: for each start unit v, highest first, grow connected sets whose
+// lowest unit is v (EnumerateCsgRec) and pair each with every connected
+// complement above v (EmitCsg / EnumerateCmpRec). Subsets of the
+// neighbourhood are visited in increasing order, so each set's pairs are
+// all costed before the set is itself joined.
+
+Status JoinSearch::Enumerate() {
+  bushy_ = config_.strategy == JoinSearchStrategy::kExhaustive2 &&
+           config_.enable_bushy;
+  budget_cap_ = config_.strategy == JoinSearchStrategy::kExhaustive2
+                    ? config_.exhaustive2_pair_budget
+                    : config_.exhaustive_pair_budget;
+  for (int v = static_cast<int>(units_.size()) - 1;
+       v >= 0 && !budget_exhausted_; --v) {
+    TAURUS_RETURN_IF_ERROR(EmitCsg(1ULL << v));
+    TAURUS_RETURN_IF_ERROR(EnumerateCsgRec(1ULL << v, UpTo(v)));
+  }
+  return Status::OK();
+}
+
+Status JoinSearch::EnumerateCsgRec(uint64_t s1, uint64_t excluded) {
+  const uint64_t n = Neighbors(s1, excluded);
+  if (n == 0) return Status::OK();
+  for (uint64_t sub = n & (~n + 1); sub != 0 && !budget_exhausted_;
+       sub = (sub - n) & n) {
+    if (HasPlan(s1 | sub)) TAURUS_RETURN_IF_ERROR(EmitCsg(s1 | sub));
+  }
+  for (uint64_t sub = n & (~n + 1); sub != 0 && !budget_exhausted_;
+       sub = (sub - n) & n) {
+    TAURUS_RETURN_IF_ERROR(EnumerateCsgRec(s1 | sub, excluded | n));
+  }
+  return Status::OK();
+}
+
+Status JoinSearch::EmitCsg(uint64_t s1) {
+  const uint64_t excluded = s1 | UpTo(std::countr_zero(s1));
+  const uint64_t n = Neighbors(s1, excluded);
+  for (uint64_t rest = n; rest != 0 && !budget_exhausted_;) {
+    const int w = 63 - std::countl_zero(rest);
+    const uint64_t s2 = 1ULL << w;
+    rest &= ~s2;
+    if (Connected(s1, s2)) TAURUS_RETURN_IF_ERROR(EmitCsgCmp(s1, s2));
+    // Linear trees need a singleton on one side: grow complements only
+    // against a single unit.
+    if (bushy_ || IsSingleton(s1)) {
+      TAURUS_RETURN_IF_ERROR(
+          EnumerateCmpRec(s1, s2, excluded | (UpTo(w) & n)));
     }
   }
   return Status::OK();
 }
 
-Status JoinSearch::OptimizeSet(uint64_t set) {
-  TAURUS_FAULT_POINT("orca.memo_explore");
-  GroupState& g = GroupOf(set);
-  if (governor_ != nullptr) {
-    TAURUS_RETURN_IF_ERROR(governor_->ChargeMemoGroups(*groups_));
-  }
-  if (g.done) return Status::OK();
-  g.done = true;  // set first; recursion on subsets only (strictly smaller)
-  g.rows = Rows(set);
-
-  if (std::popcount(set) == 1) {
-    int u = std::countr_zero(set);
-    g.is_leaf = true;
-    g.leaf_unit = u;
-    g.cost = units_[static_cast<size_t>(u)].access_cost;
-    return Status::OK();
-  }
-
-  int64_t budget_cap =
-      config_.strategy == JoinSearchStrategy::kExhaustive2
-          ? config_.exhaustive2_pair_budget
-          : config_.exhaustive_pair_budget;
-  if (config_.strategy == JoinSearchStrategy::kGreedy ||
-      budget_exhausted_ || budget_ > budget_cap) {
-    budget_exhausted_ = budget_ > budget_cap || budget_exhausted_;
-    return GreedyPlan(set);
-  }
-
-  bool bushy = config_.strategy == JoinSearchStrategy::kExhaustive2 &&
-               config_.enable_bushy;
-
-  for (int pass = 0; pass < 2 && g.cost == kInf; ++pass) {
-    // pass 0: connected partitions only; pass 1: allow cross products.
-    if (bushy) {
-      // Enumerate proper subsets a of set (canonicalized by containing the
-      // lowest bit), try both orientations.
-      uint64_t low = set & (~set + 1);
-      for (uint64_t a = (set - 1) & set; a != 0; a = (a - 1) & set) {
-        if ((a & low) == 0) continue;
-        uint64_t b = set & ~a;
-        if (pass == 0 && CrossConds(a, b).empty()) continue;
-        TAURUS_RETURN_IF_ERROR(TryPartition(set, a, b, &g, pass == 1));
-        TAURUS_RETURN_IF_ERROR(TryPartition(set, b, a, &g, pass == 1));
-        if (budget_ > budget_cap) break;
-      }
-    } else {
-      // Linear: the right side is always a single unit.
-      for (size_t u = 0; u < units_.size(); ++u) {
-        uint64_t bit = 1ULL << u;
-        if ((set & bit) == 0) continue;
-        uint64_t rest = set & ~bit;
-        if (pass == 0 && CrossConds(rest, bit).empty()) continue;
-        TAURUS_RETURN_IF_ERROR(TryPartition(set, rest, bit, &g, pass == 1));
-        // Commuted orientation for inner units (hash-join side choice).
-        if (units_[u].join_type == JoinType::kInner) {
-          TAURUS_RETURN_IF_ERROR(TryPartition(set, bit, rest, &g, pass == 1));
-        }
-        if (budget_ > budget_cap) break;
-      }
+Status JoinSearch::EnumerateCmpRec(uint64_t s1, uint64_t s2,
+                                   uint64_t excluded) {
+  const uint64_t n = Neighbors(s2, excluded);
+  if (n == 0) return Status::OK();
+  for (uint64_t sub = n & (~n + 1); sub != 0 && !budget_exhausted_;
+       sub = (sub - n) & n) {
+    if (HasPlan(s2 | sub) && Connected(s1, s2 | sub)) {
+      TAURUS_RETURN_IF_ERROR(EmitCsgCmp(s1, s2 | sub));
     }
   }
-  if (g.cost == kInf) {
-    // Dependency structure defeated the enumerator; fall back to greedy.
-    g.done = false;
-    return GreedyPlan(set);
+  for (uint64_t sub = n & (~n + 1); sub != 0 && !budget_exhausted_;
+       sub = (sub - n) & n) {
+    TAURUS_RETURN_IF_ERROR(EnumerateCmpRec(s1, s2 | sub, excluded | n));
   }
   return Status::OK();
+}
+
+Status JoinSearch::EmitCsgCmp(uint64_t s1, uint64_t s2) {
+  // Both orientations (hash-join build side and the outer of a nested
+  // loop). Linear search joins a single unit on the right first, the
+  // lowest one when both sides are single units.
+  if (!bushy_ && IsSingleton(s1)) std::swap(s1, s2);
+  PlanChoice best;
+  TAURUS_RETURN_IF_ERROR(TryPartition(s1 | s2, s1, s2, &best));
+  TAURUS_RETURN_IF_ERROR(TryPartition(s1 | s2, s2, s1, &best));
+  if (best.cost == kInf) return Status::OK();
+  return Commit(s1 | s2, best);
 }
 
 Status JoinSearch::GreedyPlan(uint64_t set) {
-  GroupState& g = GroupOf(set);
-  if (governor_ != nullptr) {
-    TAURUS_RETURN_IF_ERROR(governor_->ChargeMemoGroups(*groups_));
-  }
-  if (g.done && g.cost < kInf) return Status::OK();
-  g.done = true;
-  g.rows = Rows(set);
-  if (std::popcount(set) == 1) {
-    int u = std::countr_zero(set);
-    g.is_leaf = true;
-    g.leaf_unit = u;
-    g.cost = units_[static_cast<size_t>(u)].access_cost;
-    return Status::OK();
-  }
-  // Greedy left-deep: repeatedly find the cheapest last join (b singleton)
-  // by recursing greedily on set \ b.
-  double best_cost = kInf;
-  uint64_t best_b = 0;
-  GroupState trial;
-  for (size_t u = 0; u < units_.size(); ++u) {
-    uint64_t bit = 1ULL << u;
-    if ((set & bit) == 0) continue;
-    uint64_t rest = set & ~bit;
-    if (!Admissible(rest)) continue;
-    if (units_[u].join_type != JoinType::kInner &&
-        (units_[u].dependency & ~rest) != 0) {
-      continue;
+  if (HasPlan(set)) return Status::OK();
+  // MySQL-style greedy, left-deep: start from the cheapest inner unit to
+  // access, then repeatedly join on the right the unit whose join costs
+  // least, taking a cross product only when no unit is joined.
+  int first = -1;
+  for (uint64_t s = set & ~dependents_; s != 0; s &= s - 1) {
+    const int u = std::countr_zero(s);
+    if (first < 0 || units_[static_cast<size_t>(u)].access_cost <
+                         units_[static_cast<size_t>(first)].access_cost) {
+      first = u;
     }
-    // Dependents inside rest must stay resolvable.
-    bool ok = true;
-    for (size_t v = 0; v < units_.size(); ++v) {
-      if ((rest & (1ULL << v)) == 0) continue;
-      if (units_[v].join_type != JoinType::kInner &&
-          (units_[v].dependency & ~(rest & ~(1ULL << v))) != 0) {
-        ok = false;
+  }
+  uint64_t done = first >= 0 ? 1ULL << first : 0;
+  while (done != 0 && done != set) {
+    PlanChoice best;
+    for (bool allow_cross : {false, true}) {
+      for (uint64_t s = set & ~done; s != 0; s &= s - 1) {
+        const uint64_t bit = s & (~s + 1);
+        const Unit& unit = units_[static_cast<size_t>(std::countr_zero(s))];
+        const bool dependent = unit.join_type != JoinType::kInner;
+        if (dependent && !IsSubset(unit.dependency, done)) continue;
+        if (!allow_cross && !dependent && !Joined(done, bit)) continue;
+        TAURUS_RETURN_IF_ERROR(TryPartition(done | bit, done, bit, &best));
       }
+      if (best.cost < kInf) break;
     }
-    if (!ok) continue;
-    if (CrossConds(rest, bit).empty() &&
-        units_[u].join_type == JoinType::kInner) {
-      continue;  // avoid cross products while alternatives exist
-    }
-    GroupState cand;
-    cand.cost = kInf;
-    TAURUS_RETURN_IF_ERROR(GreedyPlan(rest));
-    TAURUS_RETURN_IF_ERROR(OptimizeSet(bit));
-    TAURUS_RETURN_IF_ERROR(TryPartition(set, rest, bit, &cand, false));
-    if (cand.cost < best_cost) {
-      best_cost = cand.cost;
-      best_b = bit;
-      trial = cand;
-    }
+    if (best.cost == kInf) break;
+    done |= best.right;
+    TAURUS_RETURN_IF_ERROR(Commit(done, best));
   }
-  if (best_b == 0) {
-    // All extensions were cross products; allow them.
-    for (size_t u = 0; u < units_.size(); ++u) {
-      uint64_t bit = 1ULL << u;
-      if ((set & bit) == 0) continue;
-      uint64_t rest = set & ~bit;
-      if (!Admissible(rest)) continue;
-      if (units_[u].join_type != JoinType::kInner &&
-          (units_[u].dependency & ~rest) != 0) {
-        continue;
-      }
-      GroupState cand;
-      cand.cost = kInf;
-      TAURUS_RETURN_IF_ERROR(GreedyPlan(rest));
-      TAURUS_RETURN_IF_ERROR(OptimizeSet(bit));
-      TAURUS_RETURN_IF_ERROR(TryPartition(set, rest, bit, &cand, true));
-      if (cand.cost < best_cost) {
-        best_cost = cand.cost;
-        best_b = bit;
-        trial = cand;
-      }
-    }
-  }
-  if (best_b == 0) {
+  if (done != set) {
     return Status::Internal("greedy join ordering found no extension");
   }
-  trial.id = g.id;
-  trial.rows = g.rows;
-  trial.done = true;
-  g = trial;
   return Status::OK();
 }
 
@@ -920,29 +1154,29 @@ std::unique_ptr<OrcaPhysicalOp> JoinSearch::BuildLeafPlan(int unit_idx,
 }
 
 std::unique_ptr<OrcaPhysicalOp> JoinSearch::Extract(uint64_t set) {
-  GroupState& g = GroupOf(set);
-  if (g.is_leaf) {
-    auto op = BuildLeafPlan(g.leaf_unit, false, -1);
+  const GroupState& g = *memo_.Find(set);
+  if (g.best.leaf_unit >= 0) {
+    auto op = BuildLeafPlan(g.best.leaf_unit, false, -1);
     op->memo_group = g.id;
     return op;
   }
   auto op = std::make_unique<OrcaPhysicalOp>();
-  op->kind = g.impl;
-  op->join_type = g.join_type;
+  op->kind = g.best.impl;
+  op->join_type = g.best.join_type;
   op->rows = g.rows;
-  op->cost = g.cost;
-  op->card_source = SourceOf(set);
+  op->cost = g.best.cost;
+  op->card_source = g.card_source;
   op->memo_group = g.id;
-  op->conds = CrossConds(g.left, g.right);
-  op->children.push_back(Extract(g.left));
-  if (g.inner_index >= 0) {
-    GroupState& gr = GroupOf(g.right);
-    auto right = BuildLeafPlan(gr.leaf_unit, true, g.inner_index);
+  op->conds = CrossConds(g.best.left, g.best.right);
+  op->children.push_back(Extract(g.best.left));
+  if (g.best.inner_index >= 0) {
+    const GroupState& gr = *memo_.Find(g.best.right);
+    auto right = BuildLeafPlan(gr.best.leaf_unit, true, g.best.inner_index);
     right->memo_group = gr.id;
-    right->cost = g.inner_lookup_cost;
+    right->cost = g.best.inner_lookup_cost;
     op->children.push_back(std::move(right));
   } else {
-    op->children.push_back(Extract(g.right));
+    op->children.push_back(Extract(g.best.right));
   }
   return op;
 }
@@ -954,12 +1188,22 @@ Result<std::unique_ptr<OrcaPhysicalOp>> JoinSearch::Run() {
   for (Unit& u : units_) {
     TAURUS_RETURN_IF_ERROR(SetupUnit(&u));
   }
-  uint64_t full = units_.size() == 64
-                      ? ~0ULL
-                      : ((1ULL << units_.size()) - 1);
-  TAURUS_RETURN_IF_ERROR(OptimizeSet(full));
-  GroupState& g = GroupOf(full);
-  if (g.cost == kInf) {
+  BuildGraph();
+  for (size_t u = 0; u < units_.size(); ++u) {
+    PlanChoice leaf;
+    leaf.leaf_unit = static_cast<int>(u);
+    leaf.cost = units_[u].access_cost;
+    TAURUS_RETURN_IF_ERROR(Commit(1ULL << u, leaf));
+  }
+  uint64_t full = UpTo(static_cast<int>(units_.size()) - 1);
+  if (config_.strategy == JoinSearchStrategy::kGreedy) {
+    TAURUS_RETURN_IF_ERROR(GreedyPlan(full));
+  } else {
+    TAURUS_RETURN_IF_ERROR(Enumerate());
+    // Out of pair budget: complete greedily, reusing every planned group.
+    if (budget_exhausted_) TAURUS_RETURN_IF_ERROR(GreedyPlan(full));
+  }
+  if (!HasPlan(full)) {
     return Status::Internal("optimizer produced no plan");
   }
   return Extract(full);

@@ -9,7 +9,9 @@ namespace taurus {
 /// evaluates (Section 6.3): GREEDY orders joins like MySQL (but with
 /// cost-based method choice); EXHAUSTIVE runs dynamic programming over
 /// linear (one-new-unit-at-a-time) join trees; EXHAUSTIVE2 — "the most
-/// thorough setting" — enumerates bushy partitions as well.
+/// thorough setting" — enumerates bushy partitions as well. Both
+/// exhaustive levels enumerate connected pairs of the join graph only
+/// (DESIGN.md section 16).
 enum class JoinSearchStrategy { kGreedy, kExhaustive, kExhaustive2 };
 
 const char* JoinSearchStrategyName(JoinSearchStrategy s);
@@ -52,9 +54,11 @@ struct OrcaConfig {
   /// (Section 7 item 7); kept as a flag for documentation symmetry.
   bool single_node_mode = true;
 
-  /// Budget on (left, right) partition pairs evaluated during DP before
-  /// the search degrades to greedy completion — Orca's own enumeration
-  /// caps, which keep 18-way-join CTE queries (TPC-DS Q64) finite.
+  /// Budget on (left, right) partition pairs — csg-cmp pairs of the join
+  /// graph, each orientation counted — one search may cost before it
+  /// completes greedily (Orca's own enumeration caps). A guard for dense
+  /// graphs, where pairs grow like 3^n/2 (an n-way clique); no workload
+  /// statement comes near it: TPC-DS Q64's 11-table star costs 10,240.
   int64_t exhaustive_pair_budget = 200000;
   int64_t exhaustive2_pair_budget = 2000000;
 
