@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <tuple>
 
 #include "common/fault_injector.h"
 #include "parser/ast_util.h"
@@ -220,9 +219,8 @@ class JoinSearch {
     const GroupState* g = memo_.Find(set);
     return g != nullptr && g->id >= 0;
   }
-  /// True when `x` is cheaper than `y`, or ties and comes first.
-  bool Better(const PlanChoice& x, const PlanChoice& y) const;
-  /// Records `plan` for `set` if it beats the set's best so far; creates
+  /// Records `plan` for `set` if it is cheaper than the set's best so far
+  /// (the first of equal-cost plans stays); creates
   /// (and charges) the memo group on the set's first plan.
   Status Commit(uint64_t set, const PlanChoice& plan);
 
@@ -264,6 +262,9 @@ class JoinSearch {
 
   FlatMemo memo_;
   bool bushy_ = false;
+  /// Cost a linear pair with the single unit on the left too (all but
+  /// GREEDY, which always joins the new unit on the right).
+  bool commute_ = true;
   int64_t budget_ = 0;
   int64_t budget_cap_ = 0;
   bool budget_exhausted_ = false;
@@ -600,9 +601,12 @@ void JoinSearch::BuildGraph() {
     }
   }
 
-  // Components: units linked by a conjunct or a dependency edge whose sides
-  // each lie within one component. Only a graph left with several
-  // components gets cross products, as hyperedges between whole components.
+  // Components: units linked by a conjunct between inner units, or by a
+  // dependency edge whose dependency lies within one component. Only a graph
+  // left with several components gets cross products, as hyperedges between
+  // whole components. A conjunct touching a dependent unit links nothing:
+  // the unit joins only after its whole dependency, so merging it early
+  // could hide a cross product its dependency needs.
   std::vector<uint64_t> comps;
   for (size_t i = 0; i < n; ++i) comps.push_back(1ULL << i);
   constexpr size_t kNone = ~size_t{0};
@@ -624,7 +628,9 @@ void JoinSearch::BuildGraph() {
   for (bool changed = true; changed;) {
     changed = false;
     for (const PoolConjunct& c : pool_) {
-      if (std::popcount(c.units) < 2) continue;
+      if (std::popcount(c.units) < 2 || (c.units & dependents_) != 0) {
+        continue;
+      }
       // The part in the first component it touches vs. the rest.
       uint64_t first = 0;
       for (uint64_t comp : comps) {
@@ -893,35 +899,6 @@ double JoinSearch::Rows(uint64_t set) {
   return rows;
 }
 
-bool JoinSearch::Better(const PlanChoice& x, const PlanChoice& y) const {
-  if (x.cost != y.cost) return x.cost < y.cost;
-  // Exact ties break by a fixed order, so the chosen plan does not depend
-  // on the order pairs are enumerated in. Bushy: the split whose side
-  // holding the set's lowest unit is largest, that side on the left first.
-  // Linear: the lowest single unit, on the right first. Then hash join,
-  // index NLJ by index, plain NLJ.
-  auto rank = [this](const PlanChoice& p) {
-    uint64_t split = ~0ULL;
-    int side = 0;
-    if (bushy_) {
-      const uint64_t set = p.left | p.right;
-      side = (p.left & set & (~set + 1)) != 0 ? 0 : 1;
-      split = ~(side == 0 ? p.left : p.right);
-    } else {
-      if (IsSingleton(p.right)) split = p.right;
-      if (IsSingleton(p.left) && p.left < split) {
-        split = p.left;
-        side = 1;
-      }
-    }
-    int impl = p.impl == OrcaPhysicalOp::Kind::kHashJoin ? 0
-               : p.inner_index >= 0                      ? 1 + p.inner_index
-                                                         : 1 << 20;
-    return std::tuple(split, side, impl);
-  };
-  return rank(x) < rank(y);
-}
-
 Status JoinSearch::Commit(uint64_t set, const PlanChoice& plan) {
   Rows(set);  // makes sure the entry exists with its cardinality
   GroupState* g = memo_.Find(set);
@@ -932,7 +909,7 @@ Status JoinSearch::Commit(uint64_t set, const PlanChoice& plan) {
       TAURUS_RETURN_IF_ERROR(governor_->ChargeMemoGroups(*groups_));
     }
   }
-  if (Better(plan, g->best)) g->best = plan;
+  if (plan.cost < g->best.cost) g->best = plan;
   return Status::OK();
 }
 
@@ -979,7 +956,7 @@ Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
     join.impl = impl;
     join.inner_index = index;
     join.inner_lookup_cost = lookup_cost;
-    if (Better(join, *best)) *best = join;
+    if (join.cost < best->cost) *best = join;
   };
 
   // Hash join: build on the right (Orca's convention).
@@ -1021,6 +998,7 @@ Status JoinSearch::TryPartition(uint64_t set, uint64_t a, uint64_t b,
 Status JoinSearch::Enumerate() {
   bushy_ = config_.strategy == JoinSearchStrategy::kExhaustive2 &&
            config_.enable_bushy;
+  commute_ = config_.strategy != JoinSearchStrategy::kGreedy;
   budget_cap_ = config_.strategy == JoinSearchStrategy::kExhaustive2
                     ? config_.exhaustive2_pair_budget
                     : config_.exhaustive_pair_budget;
@@ -1084,18 +1062,21 @@ Status JoinSearch::EnumerateCmpRec(uint64_t s1, uint64_t s2,
 Status JoinSearch::EmitCsgCmp(uint64_t s1, uint64_t s2) {
   // Both orientations (hash-join build side and the outer of a nested
   // loop). Linear search joins a single unit on the right first, the
-  // lowest one when both sides are single units.
+  // lowest one when both sides are single units. GREEDY commutes only a
+  // pair of single units: the unit it adds stays on the right.
   if (!bushy_ && IsSingleton(s1)) std::swap(s1, s2);
   PlanChoice best;
   TAURUS_RETURN_IF_ERROR(TryPartition(s1 | s2, s1, s2, &best));
-  TAURUS_RETURN_IF_ERROR(TryPartition(s1 | s2, s2, s1, &best));
+  if (commute_ || IsSingleton(s1)) {
+    TAURUS_RETURN_IF_ERROR(TryPartition(s1 | s2, s2, s1, &best));
+  }
   if (best.cost == kInf) return Status::OK();
   return Commit(s1 | s2, best);
 }
 
 Status JoinSearch::GreedyPlan(uint64_t set) {
   if (HasPlan(set)) return Status::OK();
-  // MySQL-style greedy, left-deep: start from the cheapest inner unit to
+  // Forward greedy, left-deep: start from the cheapest inner unit to
   // access, then repeatedly join on the right the unit whose join costs
   // least, taking a cross product only when no unit is joined.
   int first = -1;
@@ -1196,12 +1177,11 @@ Result<std::unique_ptr<OrcaPhysicalOp>> JoinSearch::Run() {
     TAURUS_RETURN_IF_ERROR(Commit(1ULL << u, leaf));
   }
   uint64_t full = UpTo(static_cast<int>(units_.size()) - 1);
-  if (config_.strategy == JoinSearchStrategy::kGreedy) {
+  TAURUS_RETURN_IF_ERROR(Enumerate());
+  // Out of pair budget, or a structure the graph search left unplanned:
+  // complete greedily, reusing every planned group.
+  if (budget_exhausted_ || !HasPlan(full)) {
     TAURUS_RETURN_IF_ERROR(GreedyPlan(full));
-  } else {
-    TAURUS_RETURN_IF_ERROR(Enumerate());
-    // Out of pair budget: complete greedily, reusing every planned group.
-    if (budget_exhausted_) TAURUS_RETURN_IF_ERROR(GreedyPlan(full));
   }
   if (!HasPlan(full)) {
     return Status::Internal("optimizer produced no plan");

@@ -6,12 +6,12 @@
 namespace taurus {
 
 /// Join-enumeration strategies, mirroring gporca's settings the paper
-/// evaluates (Section 6.3): GREEDY orders joins like MySQL (but with
-/// cost-based method choice); EXHAUSTIVE runs dynamic programming over
-/// linear (one-new-unit-at-a-time) join trees; EXHAUSTIVE2 — "the most
-/// thorough setting" — enumerates bushy partitions as well. Both
-/// exhaustive levels enumerate connected pairs of the join graph only
-/// (DESIGN.md section 16).
+/// evaluates (Section 6.3): GREEDY builds left-deep trees like MySQL, each
+/// new unit on the inner side (but with cost-based method choice);
+/// EXHAUSTIVE runs dynamic programming over linear (one-new-unit-at-a-time)
+/// join trees in both orientations; EXHAUSTIVE2 — "the most thorough
+/// setting" — enumerates bushy partitions as well. All three enumerate
+/// connected pairs of the join graph only (DESIGN.md section 16).
 enum class JoinSearchStrategy { kGreedy, kExhaustive, kExhaustive2 };
 
 const char* JoinSearchStrategyName(JoinSearchStrategy s);

@@ -484,6 +484,47 @@ TEST_F(JoinGraphTest, LeftJoinOverACrossProduct) {
   EXPECT_EQ(last_groups_, 5);
 }
 
+TEST_F(JoinGraphTest, ConjunctLinkingALeftJoinUnitToItsDependency) {
+  // dim_b's dependency {f1, dim_a} needs a cross product. In the first
+  // query the enclosing inner join's ON links dim_b with dim_a's side
+  // through f2; merging dim_b into that component would leave neither
+  // {f1, dim_a} nor {dim_a, dim_b, f2} plannable. In the second, a WHERE
+  // conjunct that does not reject NULLs keeps the join LEFT and becomes
+  // part of its condition.
+  const std::string queries[] = {
+      "SELECT COUNT(*) FROM fact f1 JOIN dim_a ON 1 = 1 "
+      "LEFT JOIN dim_b ON b_id = f1.f_b "
+      "JOIN fact f2 ON f2.f_b = b_id AND f2.f_a = a_id",
+      "SELECT COUNT(*) FROM fact JOIN dim_a ON 1 = 1 "
+      "LEFT JOIN dim_b ON b_id = f_b WHERE (b_id = a_id OR b_id IS NULL)"};
+  for (const std::string& sql : queries) {
+    for (JoinSearchStrategy strategy :
+         {JoinSearchStrategy::kExhaustive2, JoinSearchStrategy::kExhaustive,
+          JoinSearchStrategy::kGreedy}) {
+      SCOPED_TRACE(sql + " / " + JoinSearchStrategyName(strategy));
+      OrcaConfig config;
+      config.strategy = strategy;
+      auto plan = OptimizeSql(sql, config);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      const OrcaPhysicalOp& root = **plan;
+      EXPECT_EQ(root.join_type, JoinType::kLeft) << root.ToString();
+      EXPECT_EQ(root.children[1]->leaf->table_name, "dim_b");
+      EXPECT_EQ(CountJoinType(root, JoinType::kLeft), 1) << root.ToString();
+    }
+  }
+  // The graph search plans the first query itself: f2-dim_a (2), f1 x
+  // {dim_a, f2} (2; GREEDY keeps the larger side on the left, 1), then
+  // {f1, dim_a, f2} LEFT dim_b (1).
+  OrcaConfig config;
+  ASSERT_TRUE(OptimizeSql(queries[0], config).ok());
+  EXPECT_EQ(last_partitions_, 5);
+  EXPECT_EQ(last_groups_, 7);
+  config.strategy = JoinSearchStrategy::kGreedy;
+  ASSERT_TRUE(OptimizeSql(queries[0], config).ok());
+  EXPECT_EQ(last_partitions_, 4);
+  EXPECT_EQ(last_groups_, 7);
+}
+
 TEST_F(JoinGraphTest, PairBudgetCompletesGreedily) {
   OrcaConfig config;
   config.exhaustive2_pair_budget = 10;
@@ -521,12 +562,13 @@ TEST_F(JoinGraphTest, SemiAndAntiUnitsHangOffTheirDependency) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden plan signatures: every TPC-H and TPC-DS statement under EXHAUSTIVE
-// and EXHAUSTIVE2. A signature is the skeleton's join tree shape with the
-// join method and type per join (children in build/probe order) and the
+// Golden plan signatures: every TPC-H and TPC-DS statement under EXHAUSTIVE,
+// EXHAUSTIVE2 and GREEDY. A signature is the skeleton's join tree shape with
+// the join method and type per join (children in build/probe order) and the
 // access method and index per leaf — no memo group ids — plus the summed
-// cost estimate of every block. The golden file records the enumerator's
-// choices; set TAURUS_UPDATE_GOLDEN=1 to rewrite it.
+// cost estimate of every block. The golden file records the choices of the
+// former every-subset-split search; set TAURUS_UPDATE_GOLDEN=1 to rewrite
+// it.
 // ---------------------------------------------------------------------------
 
 std::string SkeletonNodeSignature(const SkeletonNode& n) {
@@ -635,11 +677,24 @@ Database* OrcaPlanSignatureTest::tpcds_ = nullptr;
 TEST_F(OrcaPlanSignatureTest, MatchesGoldenForEveryWorkloadStatement) {
   const std::string path =
       std::string(TAURUS_TEST_GOLDEN_DIR) + "/orca_plan_signatures.txt";
+  // Entries whose golden plan is one of several of exactly equal cost: the
+  // graph search meets another one first and keeps it.
+  // After a rewrite of the golden file both lists start empty again.
+  const std::set<std::string> kTies = {
+      "tpcds q17 EXHAUSTIVE", "tpcds q17 EXHAUSTIVE2", "tpcds q17 GREEDY",
+      "tpcds q24 EXHAUSTIVE", "tpcds q24 EXHAUSTIVE2",
+      "tpcds q31 EXHAUSTIVE", "tpcds q31 EXHAUSTIVE2", "tpcds q31 GREEDY",
+      "tpcds q64 EXHAUSTIVE", "tpcds q64 EXHAUSTIVE2", "tpcds q64 GREEDY",
+      "tpcds q72 EXHAUSTIVE", "tpcds q72 EXHAUSTIVE2", "tpcds q72 GREEDY",
+      "tpch q9 EXHAUSTIVE",   "tpch q9 EXHAUSTIVE2",   "tpch q9 GREEDY"};
   // Entries whose golden plan crosses two tables that share no predicate
-  // inside a connected join graph (Q8's linear plan crossed region with
-  // part). The search no longer costs such cross products; the plan it
-  // picks instead may cost at most 0.1% more.
-  const std::set<std::string> kCrossProductPlans = {"tpch q8 EXHAUSTIVE"};
+  // inside a connected join graph (region with part in TPC-H Q8, store with
+  // store_returns in TPC-DS Q24). The search no longer costs such cross
+  // products; the plan it picks instead costs at most this much more.
+  const std::map<std::string, double> kCrossProductPlans = {
+      {"tpch q8 EXHAUSTIVE", 0.001},
+      {"tpch q8 GREEDY", 0.02},
+      {"tpcds q24 GREEDY", 0.001}};
 
   struct Suite {
     const char* name;
@@ -650,7 +705,8 @@ TEST_F(OrcaPlanSignatureTest, MatchesGoldenForEveryWorkloadStatement) {
                           {"tpcds", tpcds_, &TpcdsQueries()}};
   const std::pair<const char*, JoinSearchStrategy> strategies[] = {
       {"EXHAUSTIVE", JoinSearchStrategy::kExhaustive},
-      {"EXHAUSTIVE2", JoinSearchStrategy::kExhaustive2}};
+      {"EXHAUSTIVE2", JoinSearchStrategy::kExhaustive2},
+      {"GREEDY", JoinSearchStrategy::kGreedy}};
   std::map<std::string, PlanSignature> actual;
   for (const Suite& suite : suites) {
     for (size_t i = 0; i < suite.queries->size(); ++i) {
@@ -694,9 +750,13 @@ TEST_F(OrcaPlanSignatureTest, MatchesGoldenForEveryWorkloadStatement) {
     SCOPED_TRACE(key);
     auto it = golden.find(key);
     ASSERT_NE(it, golden.end());
-    if (kCrossProductPlans.count(key) != 0) {
+    if (kTies.count(key) != 0) {
       EXPECT_NE(sig.signature, it->second.signature);
-      EXPECT_LE(sig.cost, it->second.cost * 1.001);
+      EXPECT_DOUBLE_EQ(sig.cost, it->second.cost);
+    } else if (auto cross = kCrossProductPlans.find(key);
+               cross != kCrossProductPlans.end()) {
+      EXPECT_NE(sig.signature, it->second.signature);
+      EXPECT_LE(sig.cost, it->second.cost * (1.0 + cross->second));
     } else {
       EXPECT_EQ(sig.signature, it->second.signature);
     }
